@@ -5,13 +5,14 @@ cost one Python interpreter pass per experiment was the simulation
 itself — every world stepped its own RK4, collision sweep, and safety
 envelope through scalar numpy calls.  The batch engine
 (:mod:`repro.sim.batch`) steps up to ``batch_sim`` same-scenario
-experiments per fused kernel call, and the campaign drivers chunk jobs
-into those batches transparently.
+experiments per fused kernel call, and the campaign pipeline chunks
+jobs into those batches transparently.
 
 This bench times the *shipped* batched configuration — fused lanes on
 a process pool (``batch_sim=16, workers=4``) — against the serial
-scalar oracle on the same checkpoint-forked job population, and pins
-exact record agreement between the two.  Since the ADS pipeline itself
+scalar engine on the same checkpoint-forked job population, each
+validated through the campaign pipeline on a golden-warmed campaign,
+and pins exact record agreement between the two.  Since the ADS pipeline itself
 batches too (:mod:`repro.ads.batch`, PR 10), serial fusion alone is
 ~2x (the ``serial_batched_speedup`` extra_info;
 ``test_bench_batch_ads`` gates it), and the ≥3x gate applies to the
@@ -19,28 +20,18 @@ batched+pooled path, which needs real cores; with fewer usable CPUs
 than workers the gate is skipped and only equivalence is asserted.
 """
 
-import os
 import time
-from dataclasses import replace
 
 import pytest
 
 from repro.analysis import ascii_table
 from repro.core import Campaign, CampaignConfig
 from repro.core.fault_models import minmax_fault_grid
-from repro.core.parallel import run_experiments
 
-from conftest import bench_scenarios
+from conftest import bench_scenarios, usable_cpus, validate_jobs
 
 WORKERS = 4
 BATCH = 16
-
-
-def usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # platforms without affinity
-        return os.cpu_count() or 1
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +44,7 @@ def batch_campaign():
 
 def validation_jobs(campaign):
     """A strided brake/throttle grid: long same-scenario runs, so the
-    drivers cut them into full ``batch_sim`` chunks plus remainders."""
+    driver cuts them into full ``batch_sim`` chunks plus remainders."""
     jobs = []
     for scenario in campaign.scenarios:
         ticks = campaign.injection_ticks(scenario)
@@ -68,21 +59,16 @@ def test_bench_batch_sim(benchmark, batch_campaign):
     campaign = batch_campaign
     jobs = validation_jobs(campaign)
     assert len(jobs) >= 40
-    scalar_config = campaign.config
-    batched_config = replace(scalar_config, batch_sim=BATCH)
 
     def validate_scalar_serial():
-        return run_experiments(campaign.scenarios, scalar_config, jobs,
-                               checkpoints=campaign.checkpoints)
+        return validate_jobs(campaign, jobs)
 
     def validate_batched_serial():
-        return run_experiments(campaign.scenarios, batched_config, jobs,
-                               checkpoints=campaign.checkpoints)
+        return validate_jobs(campaign, jobs, batch_sim=BATCH)
 
     def validate_batched_pooled():
-        return run_experiments(campaign.scenarios, batched_config, jobs,
-                               workers=WORKERS,
-                               checkpoints=campaign.checkpoints)
+        return validate_jobs(campaign, jobs, workers=WORKERS,
+                             batch_sim=BATCH)
 
     # Warm process-wide caches all paths share (RK4 stop kernels, numpy
     # dispatch, golden traces) so timing order doesn't bias the

@@ -15,26 +15,23 @@ runner exposes at least ``WORKERS`` usable CPUs (CI runners do).
 Record equivalence is asserted unconditionally.
 """
 
-import os
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.analysis import ascii_table
 from repro.core import Campaign, CampaignConfig, ListSink
-from repro.core.persistence import JsonlRecordSink, load_summary_jsonl
+from repro.core.persistence import (JsonlRecordSink, load_summary_jsonl,
+                                    merge_record_shards)
+from repro.sim import (braking_lead, highway_cruise, lead_vehicle_cutin,
+                       overtake_cutin, queued_traffic, stalled_vehicle,
+                       two_lead_reveal)
 
-from conftest import bench_scenarios
+from conftest import bench_scenarios, usable_cpus
 
 WORKERS = 4
 TOP_K = 24
-
-
-def usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # platforms without affinity
-        return os.cpu_count() or 1
 
 
 def fresh_campaign() -> Campaign:
@@ -144,3 +141,34 @@ def test_bench_streamed_records_roundtrip(tmp_path):
     assert sink.count == 40
     loaded = load_summary_jsonl(path, keep_records=False)
     assert loaded.same_aggregates(summary)
+
+
+def mixed_duration_population():
+    """Short scripted situations plus one long soak scenario, last."""
+    return [replace(lead_vehicle_cutin(), duration=14.0),
+            replace(two_lead_reveal(), duration=14.0),
+            replace(stalled_vehicle(), duration=16.0),
+            replace(queued_traffic(), duration=16.0),
+            replace(overtake_cutin(), duration=18.0),
+            replace(braking_lead(), duration=18.0),
+            replace(highway_cruise(), duration=48.0)]
+
+
+def test_bench_sharded_pipeline_merge(tmp_path):
+    """Two shards cover the campaign and merge back to the whole."""
+    reference = Campaign(mixed_duration_population(),
+                         CampaignConfig(checkpoint_stride=2)) \
+        .exhaustive_campaign(tick_stride=64, variable_names=["brake"])
+    paths = []
+    for shard in range(2):
+        config = CampaignConfig(checkpoint_stride=2, shard_index=shard,
+                                shard_count=2)
+        path = tmp_path / f"shard-{shard}.jsonl.gz"
+        with JsonlRecordSink(path) as sink:
+            Campaign(mixed_duration_population(),
+                     config).exhaustive_campaign(
+                tick_stride=64, variable_names=["brake"],
+                workers=2, record_sink=sink)
+        paths.append(path)
+    merged = merge_record_shards(paths)
+    assert merged.same_aggregates(reference)

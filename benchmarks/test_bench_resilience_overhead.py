@@ -5,36 +5,32 @@ The resilience layer (PR 6) runs every pooled experiment under
 timeouts, crash respawn, bounded retries — instead of a bare
 ``ProcessPoolExecutor``.  Supervision must be effectively free on the
 fault-free path: the whole point is to leave it on by default, so a
-healthy campaign may not pay for the insurance.  This bench runs the
-same job set through both engines with ``workers=4`` and pins
-record-for-record agreement plus the overhead bound (supervised within
-5% of unsupervised wall-clock).
+healthy campaign may not pay for the insurance.  This bench submits the
+same job set — one campaign-pipeline validation task per job — to both
+engines with ``workers=4`` and pins record-for-record agreement plus
+the overhead bound (supervised within 5% of unsupervised wall-clock).
 
 The overhead gate needs real cores (with oversubscribed CPUs the noise
 floor swamps a 5% bound), so it only applies when the runner exposes at
 least ``WORKERS`` usable CPUs — equivalence is asserted unconditionally.
 """
 
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import replace
 
 from repro.analysis import ascii_table
-from repro.core import Campaign, CampaignConfig, FaultSpec
-from repro.core.parallel import (_grouped_order, _init_worker,
-                                 _pool_context, _run_job, run_experiments)
+from repro.core import (Campaign, CampaignConfig, FaultSpec,
+                        SupervisedExecutor)
+from repro.core.parallel import _policy, _pool_context
+from repro.core.pipeline import (_init_pipeline_worker,
+                                 _pipeline_validate_chunk)
 from repro.sim import (braking_lead, highway_cruise, lead_vehicle_cutin,
                        queued_traffic, stalled_vehicle, two_lead_reveal)
 
+from conftest import usable_cpus
+
 WORKERS = 4
-
-
-def usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # platforms without affinity
-        return os.cpu_count() or 1
 
 
 def bench_population():
@@ -59,19 +55,43 @@ def bench_jobs(scenarios):
     return jobs
 
 
+def tasks(jobs):
+    """One pipeline validation chunk per job, keyed by its slot."""
+    return [(name, [(slot, fault)]) for slot, (name, fault)
+            in enumerate(jobs)]
+
+
 def run_unsupervised(scenarios, config, jobs):
     """The pre-resilience engine: a bare pool, no timeouts, no retries,
     no crash recovery — the overhead baseline supervision is held to."""
-    order = _grouped_order(jobs)
     records = [None] * len(jobs)
     with ProcessPoolExecutor(max_workers=WORKERS,
                              mp_context=_pool_context(None),
-                             initializer=_init_worker,
+                             initializer=_init_pipeline_worker,
                              initargs=(scenarios, config, None)) as pool:
-        futures = {pool.submit(_run_job, jobs[slot]): slot
-                   for slot in order}
+        futures = [pool.submit(_pipeline_validate_chunk, task)
+                   for task in tasks(jobs)]
         for future in as_completed(futures):
-            records[futures[future]] = future.result()
+            for slot, record in future.result():
+                records[slot] = record
+    return records
+
+
+def run_supervised(scenarios, config, jobs):
+    """The same tasks under :class:`SupervisedExecutor` (the pool the
+    campaign pipeline runs on)."""
+    records = [None] * len(jobs)
+    with SupervisedExecutor(WORKERS, _pool_context(None),
+                            initializer=_init_pipeline_worker,
+                            initargs=(scenarios, config, None),
+                            policy=_policy(config),
+                            seed=config.seed) as pool:
+        for task in tasks(jobs):
+            pool.submit(_pipeline_validate_chunk, task, tag=task[0])
+        for _, value, failure in pool.drain():
+            assert failure is None, failure
+            for slot, record in value:
+                records[slot] = record
     return records
 
 
@@ -92,8 +112,7 @@ def test_bench_resilience_overhead(benchmark):
 
     def timed_supervised():
         start = time.perf_counter()
-        records = run_experiments(scenarios, config, jobs,
-                                  workers=WORKERS)
+        records = run_supervised(scenarios, config, jobs)
         return records, time.perf_counter() - start
 
     supervised, supervised_seconds = benchmark.pedantic(

@@ -28,6 +28,8 @@ from repro.service.client import ServiceClient
 from repro.sim import (braking_lead, highway_cruise, lead_vehicle_cutin,
                        queued_traffic, stalled_vehicle, two_lead_reveal)
 
+from conftest import usable_cpus
+
 WORKERS = 4
 N_EXPERIMENTS = 40
 SEED = 5
@@ -35,14 +37,6 @@ SEED = 5
 BENCH_SCENARIOS = (("lead_vehicle_cutin", 14.0), ("two_lead_reveal", 14.0),
                    ("stalled_vehicle", 16.0), ("queued_traffic", 16.0),
                    ("braking_lead", 18.0), ("highway_cruise", 18.0))
-
-
-def usable_cpus() -> int:
-    import os
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # platforms without affinity
-        return os.cpu_count() or 1
 
 
 def bench_population():

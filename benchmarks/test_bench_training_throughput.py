@@ -16,11 +16,11 @@ Two costs used to scale with the *whole* golden-trace population:
   agree experiment for experiment.
 * **Wall-clock** — batch training is a barrier: every golden run must
   land before the fit starts.  Streaming training folds each trace as
-  it completes, so on the pipeline driver the fit overlaps golden
-  collection (and mining overlaps validation as before).  The
-  throughput bench runs barrier vs overlapped at ``workers=4`` on a
-  mixed-duration population and gates ≥1.15x on hosts with enough
-  cores (CI runners).
+  it completes, so the fit overlaps golden collection (and mining
+  overlaps validation as before).  The throughput bench runs the
+  campaign pipeline with batch training vs streamed (overlapped)
+  training at ``workers=4`` on a mixed-duration population and gates
+  ≥1.15x on hosts with enough cores (CI runners).
 
 Both halves export their numbers through the pytest-benchmark JSON
 (tracked as ``BENCH_training.json``), peak RSS included.
@@ -40,16 +40,11 @@ from repro.sim import (braking_lead, highway_cruise, lead_vehicle_cutin,
                        overtake_cutin, queued_traffic, stalled_vehicle,
                        two_lead_reveal)
 
+from conftest import usable_cpus
+
 WORKERS = 4
 MEMORY_SCENARIOS = 20        # the ≥20-scenario memory population
 MEMORY_SCENARIOS_SMOKE = 6   # --benchmark-disable lanes
-
-
-def usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # platforms without affinity
-        return os.cpu_count() or 1
 
 
 #: Runs one campaign variant in a *fresh* interpreter so allocator and
@@ -177,10 +172,9 @@ def test_bench_training_memory(benchmark):
 def overlap_population(smoke: bool):
     """Mixed durations, the long scenario last — the barrier worst case.
 
-    Identical shape to the pipeline-throughput bench: a barrier driver
-    idles every worker during the long golden run *and* during batch
-    training; the streaming driver folds finished traces while the
-    long scenario still simulates.
+    Batch training idles every worker until the long golden run lands
+    and then fits the whole window dataset; streamed training folds
+    finished traces while the long scenario still simulates.
     """
     scale = 0.5 if smoke else 1.0
     return [replace(lead_vehicle_cutin(), duration=14.0 * scale),
@@ -192,35 +186,36 @@ def overlap_population(smoke: bool):
             replace(highway_cruise(), duration=48.0 * scale)]
 
 
-def run_overlap_campaign(pipeline: bool, smoke: bool):
+def run_overlap_campaign(streaming_training: bool, smoke: bool):
     campaign = Campaign(overlap_population(smoke),
                         CampaignConfig(checkpoint_stride=2))
     # No top_k: a cross-scenario cut would gate eager dispatch and
-    # serialize mining against validation in both drivers.
+    # serialize mining against validation in both runs.
     return campaign.bayesian_campaign(
-        top_k=24 if smoke else None, workers=WORKERS, pipeline=pipeline,
-        streaming_training=pipeline)
+        top_k=24 if smoke else None, workers=WORKERS,
+        streaming_training=streaming_training)
 
 
 def test_bench_training_overlap_throughput(benchmark):
     smoke = benchmark.disabled
 
     barrier_start = time.perf_counter()
-    barrier_result = run_overlap_campaign(pipeline=False, smoke=smoke)
+    barrier_result = run_overlap_campaign(streaming_training=False,
+                                          smoke=smoke)
     barrier_seconds = time.perf_counter() - barrier_start
 
     def timed_pipeline():
         start = time.perf_counter()
-        result = run_overlap_campaign(pipeline=True, smoke=smoke)
+        result = run_overlap_campaign(streaming_training=True, smoke=smoke)
         return result, time.perf_counter() - start
 
     pipeline_result, pipeline_seconds = benchmark.pedantic(
         timed_pipeline, rounds=1, iterations=1)
     speedup = barrier_seconds / pipeline_seconds
 
-    print("\nBayesian campaign: barrier (batch training) vs streaming "
-          "pipeline (overlapped training)")
-    print(ascii_table(["metric", "barrier", "overlapped"], [
+    print("\nBayesian campaign pipeline: batch training (barrier) vs "
+          "streamed training (overlapped)")
+    print(ascii_table(["metric", "batch-trained", "overlapped"], [
         ["experiments", barrier_result.summary.total,
          pipeline_result.summary.total],
         ["train seconds", f"{barrier_result.train_seconds:.2f}",
@@ -236,8 +231,8 @@ def test_bench_training_overlap_throughput(benchmark):
     benchmark.extra_info["workers"] = WORKERS
     benchmark.extra_info["usable_cpus"] = usable_cpus()
 
-    # Overlapped training must agree with the batch-trained barrier
-    # oracle record for record (wall clock aside)...
+    # Overlapped training must agree with the batch-trained reference
+    # record for record (wall clock aside)...
     def strip(records):
         return [(r.scenario, r.injection_tick, r.variable, r.value,
                  r.duration_ticks, r.seed, r.hazard, r.landed,
@@ -256,5 +251,5 @@ def test_bench_training_overlap_throughput(benchmark):
               f"workers: speedup gate skipped")
         return
     assert speedup >= 1.15, (
-        f"overlapped training only {speedup:.2f}x faster than the "
-        f"barrier driver with workers={WORKERS}")
+        f"overlapped training only {speedup:.2f}x faster than batch "
+        f"training with workers={WORKERS}")

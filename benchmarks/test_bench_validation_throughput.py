@@ -8,7 +8,8 @@ snapshot at its injection tick, simulating only the fault window plus
 the post-fault horizon.  Against 40 s scenarios with injections in the
 later half of the window that cuts simulated ticks per experiment by
 3-6x; this bench pins the wall-clock speedup and — more importantly —
-exact record agreement between the two paths.
+exact record agreement between the two paths, each validated through
+the campaign pipeline on a golden-warmed campaign.
 """
 
 import time
@@ -18,8 +19,9 @@ import pytest
 from repro.analysis import ascii_table
 from repro.core import Campaign, CampaignConfig
 from repro.core.fault_models import minmax_fault_grid
-from repro.core.parallel import run_experiments
 from repro.sim import highway_cruise, stop_and_go
+
+from conftest import validate_jobs
 
 
 @pytest.fixture(scope="module")
@@ -57,12 +59,10 @@ def test_bench_validation_throughput(benchmark, validation_campaign):
     assert len(jobs) >= 20
 
     def validate_checkpointed():
-        return run_experiments(campaign.scenarios, campaign.config, jobs,
-                               checkpoints=campaign.checkpoints)
+        return validate_jobs(campaign, jobs)
 
     def validate_full_replay():
-        return run_experiments(campaign.scenarios, campaign.config, jobs,
-                               checkpoints=None)
+        return validate_jobs(campaign, jobs, use_checkpoints=False)
 
     # Warm shared caches (RK4 stop kernels) so the comparison isolates
     # per-tick simulation cost, then time both paths manually — the

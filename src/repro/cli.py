@@ -13,9 +13,9 @@ Commands mirror the paper's campaigns:
 * ``serve``     — always-on campaign service: HTTP/JSON job submission,
   durable job lifecycle, crash-safe restart, graceful drain
 
-Campaign commands run on the streaming per-scenario pipeline by default
-(``--no-pipeline`` keeps the barrier reference path) and shard across
-hosts with ``--shard-index/--shard-count``: each shard validates its
+Campaign commands run on the streaming per-scenario pipeline, the one
+campaign driver, and shard across hosts with
+``--shard-index/--shard-count``: each shard validates its
 partition, streams records to its own ``--record-out`` file, and
 ``repro merge`` folds the shard streams back together.
 
@@ -84,9 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--progress", action="store_true",
                           help="log per-stage progress (golden/mined/"
                                "validated counts) to stderr")
-    campaign.add_argument("--no-pipeline", action="store_true",
-                          help="run the barrier reference path instead "
-                               "of the streaming per-scenario pipeline")
     campaign.add_argument("--strict", action="store_true",
                           help="fail fast on the first experiment error "
                                "instead of retrying and quarantining it "
@@ -419,11 +416,10 @@ def _progress_printer():
 
 
 def _campaign_kwargs(args) -> dict:
-    """Pipeline/progress keywords shared by the campaign commands."""
-    kwargs = {"pipeline": not getattr(args, "no_pipeline", False)}
+    """Progress keywords shared by the campaign commands."""
     if getattr(args, "progress", False):
-        kwargs["on_progress"] = _progress_printer()
-    return kwargs
+        return {"on_progress": _progress_printer()}
+    return {}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -443,17 +439,10 @@ def main(argv: list[str] | None = None) -> int:
             stall_timeout=args.stall_timeout,
             max_attempts=args.job_max_attempts,
             default_workers=args.workers))
-    if getattr(args, "shard_count", 1) > 1 \
-            and getattr(args, "no_pipeline", False):
-        raise SystemExit("--shard-index/--shard-count need the streaming "
-                         "driver; drop --no-pipeline")
     if getattr(args, "lease", False):
         if getattr(args, "cache_dir", None) is None:
             raise SystemExit("--lease needs --cache-dir (the directory "
                              "the cooperating hosts share)")
-        if getattr(args, "no_pipeline", False):
-            raise SystemExit("--lease needs the streaming driver; drop "
-                             "--no-pipeline")
         if getattr(args, "shard_count", 1) > 1:
             raise SystemExit("--lease replaces static --shard-count "
                              "partitioning; pick one multi-host mode")

@@ -34,7 +34,7 @@ from .interface_faults import (interface_fault, interface_fault_grid,
                                validate_interface_channel,
                                validate_interface_kind)
 from .parallel import (ExperimentJob, collect_golden_runs,
-                       execute_experiment, run_experiments)
+                       execute_experiment)
 from .resilience import CampaignJournal, ResilienceConfig
 from .results import CampaignSummary, ExperimentRecord
 from .safety import SafetyConfig
@@ -64,9 +64,8 @@ class CampaignConfig:
     checkpoint_stride: int = 1
     #: Cross-host sharding: this process owns every scenario whose index
     #: satisfies ``index % shard_count == shard_index``.  The default
-    #: (0 of 1) is an unsharded campaign.  Sharded campaigns run on the
-    #: pipeline driver; see :mod:`repro.core.pipeline` for the exact
-    #: partition semantics per campaign style.
+    #: (0 of 1) is an unsharded campaign; see :mod:`repro.core.pipeline`
+    #: for the exact partition semantics per campaign style.
     shard_index: int = 0
     shard_count: int = 1
     #: Supervision, durable resume, and lease knobs
@@ -249,12 +248,6 @@ class Campaign:
         return [s for i, s in enumerate(self.scenarios)
                 if self.owns_scenario(i)]
 
-    def _require_unsharded(self, style: str) -> None:
-        if self.config.shard_count > 1:
-            raise ValueError(
-                f"sharded campaigns run on the pipeline driver; call "
-                f"{style} with pipeline=True (or shard_count=1)")
-
     # -- checkpoint ladders ----------------------------------------------------
 
     def schedule_injection_ticks(self, scenario: Scenario) -> list[int]:
@@ -314,8 +307,8 @@ class Campaign:
                 self.checkpoints.add_all(run.checkpoints)
                 recaptured = True
         if recaptured and save:
-            # The batch path persists once for the whole job set; the
-            # pipeline passes save=False and persists per scenario
+            # run_fault persists the whole store; the pipeline passes
+            # save=False and persists per scenario
             # (CheckpointStore.save_scenario) to keep ensure O(1).
             self._save_checkpoint_cache()
 
@@ -447,14 +440,6 @@ class Campaign:
         return hashlib.sha256(
             repr(params).encode("utf-8")).hexdigest()[:12]
 
-    @staticmethod
-    def _jobs_work_key(jobs: list[ExperimentJob]) -> str:
-        """Work key of an explicit job list (the barrier driver's form)."""
-        return Campaign._work_key(*(
-            (name, fault.variable, fault.value, fault.start_tick,
-             fault.duration_ticks, fault.kind, fault.channel)
-            for name, fault in jobs))
-
     def _open_journal(self, work_key: str) -> CampaignJournal | None:
         """The completion journal of this invocation, started (or None).
 
@@ -489,11 +474,11 @@ class Campaign:
                                ) -> dict[str, RunResult] | None:
         """Warm-start ``names`` from the (full-set or sharded) cache.
 
-        The one cache-read protocol both drivers share: read
+        The one cache-read protocol of every warm start: read
         (current format, then legacy), require every requested
         scenario, normalize traces to this campaign's trace mode, and
-        rewrite/clean up when anything was migrated.  All-or-nothing,
-        matching the barrier path.
+        rewrite/clean up when anything was migrated.  All-or-nothing:
+        a partial file is a miss.
         """
         path = self._golden_cache_path(sharded=sharded)
         if path is None:
@@ -674,133 +659,35 @@ class Campaign:
         return execute_experiment(self._by_name[scenario_name],
                                   self.config, fault, checkpoints)
 
-    def _run_jobs(self, jobs: list[ExperimentJob],
-                  workers: int | None,
-                  record_sink=None, on_progress=None) -> CampaignSummary:
-        """Execute jobs (serially or pooled) into an incremental summary.
-
-        Records stream back in job order as futures complete; each is
-        folded into the returned :class:`CampaignSummary` and forwarded
-        to ``record_sink`` (any object with ``add(record)``, e.g. a
-        :class:`repro.core.persistence.JsonlRecordSink`).  With a sink
-        the summary does not retain the records themselves — aggregates
-        only — which is the memory bound out-of-core campaigns rely on.
-
-        With checkpoints enabled, the store is materialized first so
-        pool workers inherit it through ``fork`` (or pickle it under
-        ``spawn``) and every job resumes from its scenario's golden
-        prefix.
-        """
-        checkpoints = None
-        if self.config.use_checkpoints and jobs:
-            self._ensure_checkpoints(name for name, _ in jobs)
-            checkpoints = self.checkpoints
-        summary = CampaignSummary(keep_records=record_sink is None)
-        with self._stage_profile(summary):
-            return self._drain_jobs(jobs, workers, checkpoints, summary,
-                                    record_sink, on_progress)
-
-    def _drain_jobs(self, jobs, workers, checkpoints, summary,
-                    record_sink, on_progress) -> CampaignSummary:
-        """The execution half of :meth:`_run_jobs` (profiled caller)."""
-        emitted = 0
-
-        def emit(record: ExperimentRecord) -> None:
-            nonlocal emitted
-            emitted += 1
-            summary.add(record)
-            if record_sink is not None:
-                record_sink.add(record)
-            self._progress(on_progress, "validated", record.scenario,
-                           emitted, len(jobs))
-
-        journal = self._open_journal(self._jobs_work_key(jobs))
-        if journal is None:
-            run_experiments(self.scenarios, self.config, jobs,
-                            workers=workers, checkpoints=checkpoints,
-                            on_record=emit)
-            return summary
-
-        # Resume merge: slots claimed from the journal emit their
-        # original records verbatim; only the remainder executes.
-        # Fresh records arrive in fresh-submission order, so a single
-        # cursor interleaves both sources back into the deterministic
-        # job order — the merged stream is bit-for-bit the
-        # uninterrupted run's.
-        slots: list[ExperimentRecord | None] = []
-        fresh: list[ExperimentJob] = []
-        for name, fault in jobs:
-            hit = journal.claim(name, fault, self.config.seed)
-            slots.append(hit)
-            if hit is None:
-                fresh.append((name, fault))
-        cursor = 0
-
-        def release_journaled() -> None:
-            nonlocal cursor
-            while cursor < len(jobs) and slots[cursor] is not None:
-                emit(slots[cursor])
-                cursor += 1
-
-        def consume(record: ExperimentRecord) -> None:
-            nonlocal cursor
-            journal.append(record)
-            release_journaled()
-            emit(record)
-            cursor += 1
-            release_journaled()
-
-        try:
-            release_journaled()
-            if fresh:
-                run_experiments(self.scenarios, self.config, fresh,
-                                workers=workers, checkpoints=checkpoints,
-                                on_record=consume)
-                release_journaled()
-        finally:
-            journal.close()
-        return summary
-
     # -- campaigns -----------------------------------------------------------------
 
-    def _run_pipeline(self, plan, workers, record_sink, on_progress):
+    def _run_pipeline(self, plan, workers, record_sink, on_progress,
+                      batch_sim: int | None = None):
+        """Run one campaign plan on the streaming driver.
+
+        The single entry point of all four campaign styles: applies the
+        per-call ``batch_sim`` override, and with
+        ``config.profile_stages`` arms the process-global stage timer —
+        reset on entry, disarmed on exit (including on error) — and
+        folds its report into ``summary.extra_info['stage_timings']``.
+        """
         from .pipeline import CampaignPipeline
-        driver = CampaignPipeline(self, workers=workers,
-                                  record_sink=record_sink,
-                                  on_progress=on_progress)
-        if not self.config.profile_stages:
-            return driver.run(plan)
-        STAGE_TIMER.reset()
-        STAGE_TIMER.enabled = True
-        try:
-            result = driver.run(plan)
-        finally:
-            STAGE_TIMER.enabled = False
+        with self._batch_override(batch_sim):
+            driver = CampaignPipeline(self, workers=workers,
+                                      record_sink=record_sink,
+                                      on_progress=on_progress)
+            if not self.config.profile_stages:
+                return driver.run(plan)
+            STAGE_TIMER.reset()
+            STAGE_TIMER.enabled = True
+            try:
+                result = driver.run(plan)
+            finally:
+                STAGE_TIMER.enabled = False
         report = STAGE_TIMER.report()
         if report:
             result.summary.extra_info["stage_timings"] = report
         return result
-
-    @contextmanager
-    def _stage_profile(self, summary: CampaignSummary):
-        """Arm the process-global stage timer for one campaign run and
-        fold the report into ``summary.extra_info['stage_timings']``.
-
-        A no-op unless ``config.profile_stages`` is set.  The timer is
-        reset on entry, so the block reports this run only, and always
-        disarmed on exit (including on error)."""
-        if not self.config.profile_stages:
-            yield
-            return
-        STAGE_TIMER.reset()
-        STAGE_TIMER.enabled = True
-        try:
-            yield
-        finally:
-            STAGE_TIMER.enabled = False
-            report = STAGE_TIMER.report()
-            if report:
-                summary.extra_info["stage_timings"] = report
 
     @contextmanager
     def _batch_override(self, batch_sim: int | None):
@@ -825,7 +712,6 @@ class Campaign:
                         seed: int | None = None,
                         workers: int | None = None,
                         record_sink=None,
-                        pipeline: bool = True,
                         interface_share: float = 0.0,
                         interface_kinds: tuple | None = None,
                         interface_channels: tuple | None = None,
@@ -838,10 +724,7 @@ class Campaign:
         loop, keeping seeded campaigns reproducible) and the resulting
         jobs fanned over ``workers`` processes.  ``record_sink``
         streams records out as they complete instead of retaining them
-        in the summary.  ``pipeline`` (the default) runs on the
-        streaming per-scenario driver — record-for-record identical to
-        the barrier path, which ``pipeline=False`` preserves as the
-        reference oracle.
+        in the summary.
 
         ``interface_share`` mixes interface faults into the draw: each
         experiment becomes an interface fault (uniform over
@@ -855,33 +738,14 @@ class Campaign:
         engine (records bit-for-bit the scalar engine's), 0 forces the
         scalar oracle, ``None`` keeps the config's setting.
         """
-        if batch_sim is not None:
-            with self._batch_override(batch_sim):
-                return self.random_campaign(
-                    n_experiments, seed=seed, workers=workers,
-                    record_sink=record_sink, pipeline=pipeline,
-                    interface_share=interface_share,
-                    interface_kinds=interface_kinds,
-                    interface_channels=interface_channels,
-                    on_progress=on_progress)
         for kind in interface_kinds or ():
             validate_interface_kind(kind)
         for channel in interface_channels or ():
             validate_interface_channel(channel)
-        if pipeline:
-            plan = self._random_plan(n_experiments, seed, interface_share,
-                                     interface_kinds, interface_channels)
-            return self._run_pipeline(plan, workers, record_sink,
-                                      on_progress).summary
-        self._require_unsharded("random_campaign")
-        self.golden_runs(workers=workers)
-        self._progress(on_progress, "golden", None, len(self.scenarios),
-                       len(self.scenarios))
-        jobs = self._random_jobs(n_experiments, seed,
-                                 self._require_injection_ticks,
-                                 interface_share, interface_kinds,
-                                 interface_channels)
-        return self._run_jobs(jobs, workers, record_sink, on_progress)
+        plan = self._random_plan(n_experiments, seed, interface_share,
+                                 interface_kinds, interface_channels)
+        return self._run_pipeline(plan, workers, record_sink, on_progress,
+                                  batch_sim).summary
 
     def _random_jobs(self, n_experiments: int, seed: int | None,
                      ticks_of, interface_share: float = 0.0,
@@ -938,20 +802,6 @@ class Campaign:
         return StagePlan(style="random", global_jobs=global_jobs,
                          work_key=self._work_key(*key_params))
 
-    @staticmethod
-    def _progress(on_progress, stage, scenario, done, total) -> None:
-        if on_progress is not None:
-            from .pipeline import PipelineProgress
-            on_progress(PipelineProgress(stage=stage, scenario=scenario,
-                                         done=done, total=total))
-
-    def _require_injection_ticks(self, scenario_name: str) -> list[int]:
-        """Eligible ticks of a scenario, with a clear error when empty."""
-        ticks = self.injection_ticks(self._by_name[scenario_name])
-        if not ticks:
-            raise self._no_ticks_error(scenario_name)
-        return ticks
-
     def _no_ticks_error(self, scenario_name: str) -> ValueError:
         config = self.config
         return ValueError(
@@ -965,7 +815,6 @@ class Campaign:
                             max_experiments: int | None = None,
                             workers: int | None = None,
                             record_sink=None,
-                            pipeline: bool = True,
                             interface_grid: bool = False,
                             batch_sim: int | None = None,
                             on_progress=None) -> CampaignSummary:
@@ -977,34 +826,10 @@ class Campaign:
         ``batch_sim`` overrides :attr:`CampaignConfig.batch_sim` for
         this campaign (see :meth:`random_campaign`).
         """
-        if batch_sim is not None:
-            with self._batch_override(batch_sim):
-                return self.exhaustive_campaign(
-                    tick_stride=tick_stride,
-                    variable_names=variable_names,
-                    max_experiments=max_experiments, workers=workers,
-                    record_sink=record_sink, pipeline=pipeline,
-                    interface_grid=interface_grid,
-                    on_progress=on_progress)
-        if pipeline:
-            plan = self._exhaustive_plan(tick_stride, variable_names,
-                                         max_experiments, interface_grid)
-            return self._run_pipeline(plan, workers, record_sink,
-                                      on_progress).summary
-        self._require_unsharded("exhaustive_campaign")
-        self.golden_runs(workers=workers)
-        self._progress(on_progress, "golden", None, len(self.scenarios),
-                       len(self.scenarios))
-        jobs: list[ExperimentJob] = []
-        for scenario in self.scenarios:
-            ticks = self.injection_ticks(scenario, stride=tick_stride)
-            grid = self._exhaustive_grid(ticks, variable_names,
-                                         interface_grid)
-            jobs.extend((scenario.name, fault) for fault in grid)
-            if max_experiments is not None and len(jobs) >= max_experiments:
-                jobs = jobs[:max_experiments]
-                break
-        return self._run_jobs(jobs, workers, record_sink, on_progress)
+        plan = self._exhaustive_plan(tick_stride, variable_names,
+                                     max_experiments, interface_grid)
+        return self._run_pipeline(plan, workers, record_sink, on_progress,
+                                  batch_sim).summary
 
     def _exhaustive_grid(self, ticks: list[int],
                          variable_names: list[str] | None,
@@ -1077,7 +902,6 @@ class Campaign:
                                seed: int | None = None,
                                workers: int | None = None,
                                record_sink=None,
-                               pipeline: bool = True,
                                interface_hangs: bool = False,
                                batch_sim: int | None = None,
                                on_progress=None
@@ -1097,28 +921,11 @@ class Campaign:
         ``batch_sim`` overrides :attr:`CampaignConfig.batch_sim` for
         this campaign (see :meth:`random_campaign`).
         """
-        if batch_sim is not None:
-            with self._batch_override(batch_sim):
-                return self.architectural_campaign(
-                    n_experiments, model=model, seed=seed,
-                    workers=workers, record_sink=record_sink,
-                    pipeline=pipeline, interface_hangs=interface_hangs,
-                    on_progress=on_progress)
-        if pipeline:
-            plan = self._architectural_plan(n_experiments, model, seed,
-                                            interface_hangs)
-            outcome = self._run_pipeline(plan, workers, record_sink,
-                                         on_progress)
-            return outcome.summary, outcome.extras["outcome_counts"]
-        self._require_unsharded("architectural_campaign")
-        self.golden_runs(workers=workers)
-        self._progress(on_progress, "golden", None, len(self.scenarios),
-                       len(self.scenarios))
-        jobs, outcome_counts = self._architectural_jobs(
-            n_experiments, model, seed, self._require_injection_ticks,
-            interface_hangs)
-        summary = self._run_jobs(jobs, workers, record_sink, on_progress)
-        return summary, outcome_counts
+        plan = self._architectural_plan(n_experiments, model, seed,
+                                        interface_hangs)
+        outcome = self._run_pipeline(plan, workers, record_sink,
+                                     on_progress, batch_sim)
+        return outcome.summary, outcome.extras["outcome_counts"]
 
     def _architectural_jobs(self, n_experiments: int,
                             model: ArchitecturalFaultModel | None,
@@ -1170,7 +977,6 @@ class Campaign:
                           use_batched: bool = True,
                           workers: int | None = None,
                           record_sink=None,
-                          pipeline: bool = True,
                           streaming_training: bool = True,
                           interface_probe: tuple[str, ...] = (),
                           batch_sim: int | None = None,
@@ -1193,9 +999,9 @@ class Campaign:
 
         ``streaming_training`` (the default) fits the 3-TBN through
         sufficient-statistics accumulators, folding each golden trace
-        in campaign scenario order the moment it is available — on the
-        pipeline driver training *overlaps* golden collection and the
-        training barrier disappears; the folds emit per-trace
+        in campaign scenario order the moment it is available, so
+        training *overlaps* golden collection and the training barrier
+        disappears; the folds emit per-trace
         ``train`` progress events.  ``streaming_training=False`` keeps
         the whole-dataset batch fit
         (:meth:`BayesianFaultInjector.train`) as the reference oracle;
@@ -1214,75 +1020,19 @@ class Campaign:
         the validation stage (see :meth:`random_campaign`); mining and
         training are unaffected (they have their own batched engines).
         """
-        if batch_sim is not None:
-            with self._batch_override(batch_sim):
-                return self.bayesian_campaign(
-                    injector=injector, variables=variables,
-                    threshold=threshold, top_k=top_k,
-                    use_batched=use_batched, workers=workers,
-                    record_sink=record_sink, pipeline=pipeline,
-                    streaming_training=streaming_training,
-                    interface_probe=interface_probe,
-                    on_progress=on_progress)
         for kind in interface_probe:
             validate_interface_kind(kind)
-        if pipeline:
-            plan = self._bayesian_plan(injector, variables, threshold,
-                                       top_k, use_batched,
-                                       streaming_training,
-                                       interface_probe)
-            outcome = self._run_pipeline(plan, workers, record_sink,
-                                         on_progress)
-            return BayesianCampaignResult(
-                injector=outcome.extras["injector"],
-                candidates=outcome.extras["candidates"],
-                mining=outcome.extras["mining"],
-                summary=outcome.summary,
-                train_seconds=outcome.extras["train_seconds"])
-        self._require_unsharded("bayesian_campaign")
-        train_start = time.perf_counter()
-        caching = injector is None and self.cache_dir is not None
-        if injector is None:
-            golden = self.golden_runs(workers=workers)
-            if streaming_training:
-                injector = self._train_streaming(golden, on_progress)
-            else:
-                injector = BayesianFaultInjector.train(
-                    list(golden.values()),
-                    safety_config=self.config.safety)
-        train_seconds = time.perf_counter() - train_start
-        self._progress(on_progress, "golden", None, len(self.scenarios),
-                       len(self.scenarios))
-        candidates = mining = None
-        cache_path = (self._candidate_cache_path(variables, threshold,
-                                                 top_k) if caching else None)
-        if cache_path is not None and cache_path.exists():
-            from .persistence import try_load_candidates
-            candidates = try_load_candidates(cache_path)
-            if candidates is not None:
-                mining = self._cached_mining_report(candidates, variables)
-        if candidates is None:
-            mine = (injector.mine_critical_faults_batched if use_batched
-                    else injector.mine_critical_faults)
-            candidates, mining = mine(
-                self.scene_rows(), variables=variables, threshold=threshold,
-                top_k=top_k)
-            if cache_path is not None:
-                from .persistence import save_candidates
-                cache_path.parent.mkdir(parents=True, exist_ok=True)
-                save_candidates(candidates, cache_path)
-        self._progress(on_progress, "mined", None, len(self.scenarios),
-                       len(self.scenarios))
-        jobs: list[ExperimentJob] = []
-        for candidate in candidates:
-            jobs.append((candidate.scenario,
-                         candidate.to_fault_spec(
-                             duration_ticks=self.config.fault_duration_ticks)))
-            jobs.extend(self._probe_jobs(candidate, interface_probe))
-        summary = self._run_jobs(jobs, workers, record_sink, on_progress)
+        plan = self._bayesian_plan(injector, variables, threshold, top_k,
+                                   use_batched, streaming_training,
+                                   interface_probe)
+        outcome = self._run_pipeline(plan, workers, record_sink,
+                                     on_progress, batch_sim)
         return BayesianCampaignResult(
-            injector=injector, candidates=candidates, mining=mining,
-            summary=summary, train_seconds=train_seconds)
+            injector=outcome.extras["injector"],
+            candidates=outcome.extras["candidates"],
+            mining=outcome.extras["mining"],
+            summary=outcome.summary,
+            train_seconds=outcome.extras["train_seconds"])
 
     def _probe_jobs(self, candidate: CandidateFault,
                     interface_probe: tuple[str, ...]
@@ -1303,22 +1053,6 @@ class Campaign:
                                  int(candidate.injection_tick),
                                  duration_ticks=duration))
                 for kind in interface_probe]
-
-    def _train_streaming(self, golden: dict[str, RunResult],
-                         on_progress) -> BayesianFaultInjector:
-        """Fold golden traces into the streaming trainer, in order.
-
-        The barrier path's streaming fit: identical arithmetic (and
-        fold order — campaign scenario order) to the pipeline driver's
-        overlapped folds, so ``pipeline=True`` and ``pipeline=False``
-        stay record-for-record equivalent under streaming training.
-        """
-        trainer = BayesianFaultInjector.streaming_trainer(
-            safety_config=self.config.safety)
-        for done, (name, run) in enumerate(golden.items(), start=1):
-            trainer.add_run(run)
-            self._progress(on_progress, "train", name, done, len(golden))
-        return trainer.finish()
 
     def _cached_mining_report(self, candidates, variables) -> MiningReport:
         """Cost accounting a fresh mining pass over these scenes would
@@ -1372,8 +1106,8 @@ class Campaign:
 
                 Called by the driver in campaign scenario order as
                 goldens complete, so training overlaps the rest of
-                golden collection; the accumulation order is the
-                barrier path's, keeping the fit deterministic.
+                golden collection; the accumulation order is campaign
+                scenario order, keeping the fit deterministic.
                 """
                 trainer = ctx.extras.get("trainer")
                 if trainer is None:
@@ -1444,9 +1178,10 @@ class Campaign:
             """Merge per-scenario mines into the global candidate list.
 
             Stable-sorting the scenario-ordered concatenation by
-            ``predicted_minimum`` reproduces the barrier miner's order
-            (its append order is the same concatenation), and ``top_k``
-            truncates the global ranking exactly as the barrier does.
+            ``predicted_minimum`` reproduces the order of one
+            whole-population mining pass over :meth:`scene_rows` (its
+            append order is the same concatenation), and ``top_k``
+            truncates the global ranking exactly as that pass does.
             """
             entries = [((s.name, j), candidate)
                        for s in self.scenarios

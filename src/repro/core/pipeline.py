@@ -1,11 +1,10 @@
 """Streaming per-scenario campaign pipeline with cross-host sharding.
 
 The paper's workflow is inherently per-scenario — collect a golden run,
-mine its scene rows, validate the mined faults — yet the barrier
-orchestration in :mod:`repro.core.campaign` runs it as three global
-phases (all golden runs, then all mining, then all validation), so one
-slow scenario stalls every other scenario's downstream work.  This
-module replaces the barriers with a dataflow driver:
+mine its scene rows, validate the mined faults.  Running it as three
+global phases (all golden runs, then all mining, then all validation)
+would let one slow scenario stall every other scenario's downstream
+work, so the one campaign driver is a dataflow pipeline:
 
 * :class:`CampaignPipeline` flows each scenario independently through
   golden -> checkpoint-ladder -> mining -> validation stages over a
@@ -19,13 +18,18 @@ module replaces the barriers with a dataflow driver:
 
 Equivalence guarantee
 ---------------------
-A pipelined campaign emits a record stream **bit-for-bit identical to
-the barrier path** (``pipeline=False``, the reference oracle), order
-included: every record is produced by the same
+A campaign emits a record stream **bit-for-bit identical to a straight
+serial loop** — every golden run first, then each style's job list
+built by the campaign's seeded generators, then every job through
+:meth:`~repro.core.campaign.Campaign.run_fault` in order — serial or
+pooled, scalar or batched, fresh or resumed.  That loop is the
+independent reference the equivalence suites check against
+(``tests/oracle.py``; it shares no code with this module).  Every
+record is produced by the same
 :func:`~repro.core.parallel.execute_experiment` call with the same
 fault and checkpoint ladder, and an ordered emitter releases records in
-the barrier path's deterministic job order (scenario-major grid order
-for exhaustive campaigns, seeded draw order for random/architectural,
+the loop's deterministic job order (scenario-major grid order for
+exhaustive campaigns, seeded draw order for random/architectural,
 sorted-candidate order for Bayesian) no matter when they complete.
 Execution order is opportunistic; emission order is not.
 
@@ -244,7 +248,7 @@ def _pipeline_validate_chunk(chunk) -> list:
 # -- driver side ---------------------------------------------------------------
 
 class _OrderedEmitter:
-    """Releases records in the barrier path's deterministic order.
+    """Releases records in the campaign's deterministic job order.
 
     Execution completes in any order and some slots are only known
     late (a scenario's slot base resolves when every earlier scenario's
@@ -304,7 +308,7 @@ class PipelineContext:
         """Eligible ticks of a scenario, golden-derived when available.
 
         Scenarios whose golden run this shard collected use the trace's
-        ticks — the barrier path's source.  Foreign scenarios (sharded
+        ticks — the unsharded draw's source.  Foreign scenarios (sharded
         job generation only) use the schedule-derived list; for every
         collected scenario under sharding the two are asserted equal,
         so the shard union provably matches the unsharded draw.
@@ -495,8 +499,7 @@ class CampaignPipeline:
         Warm sources, in order: golden runs already on the campaign
         object, then the golden-trace cache under ``cache_dir`` (the
         full-set file, or this shard's subset file when the plan only
-        needs owned scenarios).  The cache is all-or-nothing, matching
-        the barrier path.
+        needs owned scenarios).  The cache is all-or-nothing.
         """
         campaign = self.campaign
         self._fresh_golden = False
@@ -565,8 +568,9 @@ class CampaignPipeline:
                 # spool; when cache_dir is set the spool *is* the
                 # persistent checkpoint cache, so this eager save also
                 # replaces the batch persistence pass.  Ladders the
-                # campaign already held in memory (barrier-collected)
-                # stay resident — they belong to the caller, not us.
+                # campaign already held in memory (captured by
+                # golden_runs() or run_fault) stay resident — they
+                # belong to the caller, not us.
                 store.save_scenario(self._spool, name)
                 self._checkpoints_ready.add(name)
                 if not resident:
@@ -593,7 +597,7 @@ class CampaignPipeline:
         order, consuming the longest completed prefix — training work
         happens while later goldens still simulate, yet the
         accumulation order (and therefore the fitted model) is exactly
-        the barrier path's.  Emits one ``train`` progress event per
+        campaign scenario order.  Emits one ``train`` progress event per
         folded trace.
         """
         miner = self.plan.miner
@@ -665,7 +669,7 @@ class CampaignPipeline:
         """Register one scenario's job block; dispatch now, emit in order.
 
         Blocks occupy consecutive slot ranges in owned-scenario order
-        (the barrier path's job order).  Execution starts immediately;
+        (the campaign's job order).  Execution starts immediately;
         slots — and therefore emission — resolve as soon as every
         earlier block's size is known.
         """
@@ -817,8 +821,7 @@ class CampaignPipeline:
         (:meth:`CheckpointStore.save_scenario`): incremental and
         index-preserving, so a campaign touching k of n scenarios costs
         O(k) ladder writes and never drops the other n-k persisted
-        entries — the barrier path's whole-store save stays confined to
-        the batch code.
+        entries.
         """
         if not self.config.use_checkpoints or self._spool is None \
                 or name in self._checkpoints_ready:

@@ -4,9 +4,9 @@ A production fault-injection campaign is a long-running distributed
 experiment, and the faults it *suffers* — a worker segfault, a hung
 simulation, a preempted host, a full disk — are not the faults it
 *injects*.  This module separates the two (the AVFI framing) with
-three cooperating mechanisms, threaded through both orchestrators
-(:mod:`repro.core.parallel` barrier driver, :mod:`repro.core.pipeline`
-streaming driver):
+three cooperating mechanisms, threaded through the campaign driver
+(:mod:`repro.core.pipeline`) and golden collection
+(:mod:`repro.core.parallel`):
 
 * :class:`SupervisedExecutor` — a process pool with per-job wall-clock
   timeouts, bounded retries under seeded exponential backoff, worker
@@ -330,7 +330,8 @@ class _SupervisedTask:
 class SupervisedExecutor:
     """A process pool that survives the faults its workers suffer.
 
-    The drop-in execution engine of both campaign drivers.  Contract
+    The drop-in execution engine of the campaign pipeline and of
+    pooled golden collection.  Contract
     differences from ``ProcessPoolExecutor`` are exactly the resilience
     semantics:
 

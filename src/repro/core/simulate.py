@@ -145,9 +145,9 @@ def _simulate(scenario: Scenario, world: World, pipeline: ADSPipeline,
 
     for tick in range(start_tick, n_ticks):
         if tick in capture:
-            checkpoints[tick] = Checkpoint(
-                scenario=scenario.name, seed=seed, tick=tick,
-                world=world.snapshot(), pipeline=pipeline.snapshot())
+            checkpoints[tick] = Checkpoint(scenario.name, seed, tick,
+                                           world.snapshot(),
+                                           pipeline.snapshot())
         is_planning_tick = pipeline.is_planning_tick
         command = pipeline.tick(world)
         world.step(command.throttle, command.brake, command.steering,

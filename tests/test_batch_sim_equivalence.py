@@ -3,17 +3,19 @@
 The acceptance contract of the vectorized batch engine: every campaign
 style run with ``batch_sim=N`` emits a record stream *bit-for-bit*
 identical (wall-clock timing aside) to the scalar
-:class:`~repro.sim.world.World` reference — order included — across
-the serial barrier path, the process pool, and the streaming pipeline
-driver.  The streams here include interface faults (drop / freeze /
-delay / jitter / hang) and graceful-degradation outcomes, so the
-batched path is held to the full PR-8 fault surface, not just value
-corruption.  Checkpoint-forked batched validation must likewise equal
-the full-replay reference, at both the campaign and engine levels.
+:class:`~repro.sim.world.World` reference — the straight-loop
+:mod:`oracle` — order included, serial and pooled, forked from
+checkpoints or replayed from tick 0.  The streams here include
+interface faults (drop / freeze / delay / jitter / hang) and
+graceful-degradation outcomes, so the batched path is held to the full
+interface-fault surface, not just value corruption.  Checkpoint-forked
+batched validation must likewise equal the full-replay reference, at
+both the campaign and engine levels.
 """
 
 from dataclasses import asdict, replace
 
+import oracle
 import pytest
 
 from repro.arch.injector import Outcome
@@ -62,11 +64,11 @@ class HangingModel:
                                 relative_error=0.0, fault=fault)
 
 
-def run_style(style, *, batch_sim, pipeline, workers):
+def run_style(style, *, batch_sim, workers, use_checkpoints=True):
     sink = ListSink()
-    campaign = Campaign(small_scenarios(), CampaignConfig())
-    kwargs = dict(pipeline=pipeline, workers=workers, record_sink=sink,
-                  batch_sim=batch_sim)
+    campaign = Campaign(small_scenarios(),
+                        CampaignConfig(use_checkpoints=use_checkpoints))
+    kwargs = dict(workers=workers, record_sink=sink, batch_sim=batch_sim)
     if style == "random":
         campaign.random_campaign(12, seed=11, interface_share=0.5,
                                  **kwargs)
@@ -84,32 +86,52 @@ def run_style(style, *, batch_sim, pipeline, workers):
     return strip_wall(sink.records)
 
 
+def oracle_style(style):
+    """:func:`run_style`'s campaign through the straight-loop oracle."""
+    campaign = Campaign(small_scenarios(), CampaignConfig())
+    if style == "random":
+        summary = oracle.random_campaign(campaign, 12, seed=11,
+                                         interface_share=0.5)
+    elif style == "exhaustive":
+        summary = oracle.exhaustive_campaign(
+            campaign, tick_stride=40, variable_names=["brake"],
+            interface_grid=True)
+    elif style == "architectural":
+        summary, _ = oracle.architectural_campaign(
+            campaign, 8, model=HangingModel(), seed=3,
+            interface_hangs=True)
+    else:
+        summary = oracle.bayesian_campaign(
+            campaign, top_k=4, interface_probe=("freeze", "delay")).summary
+    return strip_wall(summary.records)
+
+
 @pytest.fixture(scope="module")
 def scalar_reference():
-    """Scalar-oracle record streams, one serial barrier run per style."""
+    """Scalar-oracle record streams, one straight-loop run per style."""
     cache = {}
 
     def get(style):
         if style not in cache:
-            cache[style] = run_style(style, batch_sim=0, pipeline=False,
-                                     workers=None)
+            cache[style] = oracle_style(style)
         return cache[style]
 
     return get
 
 
 class TestBatchedDriverEquivalence:
-    """batch_sim=N == batch_sim=0 for every style and every driver."""
+    """batch_sim=N == the scalar oracle for every style, serial and
+    pooled, with checkpoint-forked lanes and with full replay."""
 
     @pytest.mark.parametrize("style", STYLES)
-    @pytest.mark.parametrize("pipeline", [False, True])
+    @pytest.mark.parametrize("use_checkpoints", [False, True])
     @pytest.mark.parametrize("workers", [None, 2])
     def test_records_equal_scalar_oracle(self, scalar_reference, style,
-                                         pipeline, workers):
+                                         use_checkpoints, workers):
         reference = scalar_reference(style)
         assert reference, "oracle campaign produced no records"
-        batched = run_style(style, batch_sim=BATCH, pipeline=pipeline,
-                            workers=workers)
+        batched = run_style(style, batch_sim=BATCH, workers=workers,
+                            use_checkpoints=use_checkpoints)
         assert batched == reference
 
     def test_streams_cover_the_interface_fault_surface(self,
@@ -123,8 +145,7 @@ class TestBatchedDriverEquivalence:
     def test_single_lane_batch_is_still_batched_code(self,
                                                      scalar_reference):
         """batch_sim=2 with odd job counts runs 1-lane tail chunks."""
-        batched = run_style("random", batch_sim=2, pipeline=True,
-                            workers=None)
+        batched = run_style("random", batch_sim=2, workers=None)
         assert batched == scalar_reference("random")
 
 
@@ -142,7 +163,7 @@ class TestFusedADSPath:
             return original(self, slot, pipeline)
 
         monkeypatch.setattr(BatchADSState, "attach", counting)
-        run_style("random", batch_sim=BATCH, pipeline=False, workers=None)
+        run_style("random", batch_sim=BATCH, workers=None)
         assert attached, "no lane ever took the fused ADS path"
 
     def test_forced_peel_still_matches_scalar(self):
@@ -156,32 +177,31 @@ class TestFusedADSPath:
         ads = replace(ADSConfig(), planner_divisor=6)
         assert not can_fuse(ADSPipeline(ads))
 
-        def run(batch_sim):
-            sink = ListSink()
-            campaign = Campaign(small_scenarios(),
-                                CampaignConfig(ads=ads))
-            campaign.random_campaign(8, seed=5, interface_share=0.3,
-                                     batch_sim=batch_sim, pipeline=False,
-                                     record_sink=sink)
-            return strip_wall(sink.records)
+        def campaign():
+            return Campaign(small_scenarios(), CampaignConfig(ads=ads))
 
-        reference = run(0)
-        assert run(BATCH) == reference
+        reference = strip_wall(oracle.random_campaign(
+            campaign(), 8, seed=5, interface_share=0.3).records)
+        sink = ListSink()
+        campaign().random_campaign(8, seed=5, interface_share=0.3,
+                                   batch_sim=BATCH, record_sink=sink)
+        assert strip_wall(sink.records) == reference
         assert any(row["degraded"] for row in reference)
 
 
 class TestCheckpointForkOracle:
     """Checkpoint-forked batched validation == full replay from t=0."""
 
-    @pytest.mark.parametrize("pipeline", [False, True])
-    def test_campaign_fork_equals_full_replay(self, pipeline):
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_campaign_fork_equals_full_replay(self, pooled):
         def run(use_checkpoints):
             sink = ListSink()
             campaign = Campaign(
                 small_scenarios(),
                 CampaignConfig(use_checkpoints=use_checkpoints))
             campaign.random_campaign(10, seed=7, interface_share=0.4,
-                                     batch_sim=BATCH, pipeline=pipeline,
+                                     batch_sim=BATCH,
+                                     workers=2 if pooled else None,
                                      record_sink=sink)
             return strip_wall(sink.records)
 

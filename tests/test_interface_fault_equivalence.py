@@ -3,9 +3,10 @@
 The interface fault family (drop/freeze/delay/jitter/hang at the typed
 module boundaries) rides the same contract as value faults: a seeded
 schedule is deterministic, and the record stream is bit-for-bit
-identical (wall-clock timing aside) across the serial barrier path,
-the process pool, and the streaming pipeline driver — including
-checkpoint-forked validation versus the full-replay reference oracle.
+identical (wall-clock timing aside) across the straight-loop
+:mod:`oracle`, the serial pipeline driver and its process pool —
+including checkpoint-forked validation versus the full-replay
+reference oracle.
 
 The degradation half: with the graceful-degradation mode disabled the
 brittle stack turns a frozen control-critical channel into a recorded
@@ -17,6 +18,7 @@ import dataclasses
 from dataclasses import asdict, replace
 
 import numpy as np
+import oracle
 import pytest
 
 from repro.arch.injector import Outcome
@@ -102,12 +104,31 @@ class TestSeededSchedules:
 
 
 class TestDriverEquivalence:
-    """Serial barrier == pool workers == streaming pipeline."""
+    """Serial oracle == streaming pipeline == its pool workers."""
 
-    def records(self, style, pipeline, workers):
+    def oracle_records(self, style):
+        campaign = Campaign(small_scenarios(), CampaignConfig())
+        if style == "random":
+            summary = oracle.random_campaign(campaign, 12, seed=11,
+                                             interface_share=0.6)
+        elif style == "exhaustive":
+            summary = oracle.exhaustive_campaign(
+                campaign, tick_stride=40, variable_names=["brake"],
+                interface_grid=True)
+        elif style == "architectural":
+            summary, _ = oracle.architectural_campaign(
+                campaign, 8, model=HangingModel(), seed=3,
+                interface_hangs=True)
+        else:
+            summary = oracle.bayesian_campaign(
+                campaign, top_k=4,
+                interface_probe=("freeze", "delay")).summary
+        return strip_wall(summary.records)
+
+    def records(self, style, workers):
         sink = ListSink()
         campaign = Campaign(small_scenarios(), CampaignConfig())
-        kwargs = dict(pipeline=pipeline, workers=workers, record_sink=sink)
+        kwargs = dict(workers=workers, record_sink=sink)
         if style == "random":
             campaign.random_campaign(12, seed=11, interface_share=0.6,
                                      **kwargs)
@@ -128,27 +149,29 @@ class TestDriverEquivalence:
     @pytest.mark.parametrize("style", ["random", "exhaustive",
                                        "architectural", "bayesian"])
     def test_serial_pool_pipeline_identical(self, style):
-        serial = self.records(style, pipeline=False, workers=None)
+        serial = self.oracle_records(style)
         assert serial, "campaign produced no records"
         interface = [r for r in serial if r["kind"] != "value"]
         assert interface, "campaign exercised no interface faults"
-        assert serial == self.records(style, pipeline=True, workers=None)
-        assert serial == self.records(style, pipeline=True, workers=2)
+        assert serial == self.records(style, workers=None)
+        assert serial == self.records(style, workers=2)
 
     def test_bayesian_eager_dispatch_keeps_probe_order(self):
         # top_k=None enables eager dispatch: value jobs go out as each
         # scenario's mining lands, probes at finalize — the emitted
-        # stream must still equal the barrier path's candidate order.
-        def bay(pipeline, workers):
+        # stream must still equal the oracle's candidate order.
+        def bay(workers):
             sink = ListSink()
             Campaign(small_scenarios(), CampaignConfig()).bayesian_campaign(
-                interface_probe=("hang",), pipeline=pipeline,
-                workers=workers, record_sink=sink)
+                interface_probe=("hang",), workers=workers,
+                record_sink=sink)
             return strip_wall(sink.records)
 
-        serial = bay(False, None)
-        assert serial == bay(True, None)
-        assert serial == bay(True, 2)
+        serial = strip_wall(oracle.bayesian_campaign(
+            Campaign(small_scenarios(), CampaignConfig()),
+            interface_probe=("hang",)).summary.records)
+        assert serial == bay(None)
+        assert serial == bay(2)
 
     def test_resume_skips_finished_interface_experiments(self, tmp_path):
         def campaign(resume):

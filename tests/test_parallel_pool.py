@@ -4,16 +4,18 @@ The pipeline driver leans on :mod:`repro.core.parallel`'s quiet
 degradation rules — unknown start methods return no context, spawn
 pools refuse unpicklable state, single-worker pools collapse to the
 serial loop — so each rule is pinned here rather than discovered by a
-hanging campaign.
+hanging campaign.  Every pooled or degenerate run is checked against
+the straight-loop :mod:`oracle`.
 """
 
 import multiprocessing
 from dataclasses import asdict, replace
 
+import oracle
 import pytest
 
-from repro.core import (Campaign, CampaignConfig, FaultSpec,
-                        run_experiments)
+from repro.core import (Campaign, CampaignConfig, CampaignPipeline,
+                        FaultSpec, ListSink, StagePlan)
 from repro.core.parallel import (_picklable, _pool_context,
                                  collect_golden_runs)
 from repro.sim import Scenario, highway_cruise, lead_vehicle_cutin
@@ -22,6 +24,12 @@ from repro.sim import Scenario, highway_cruise, lead_vehicle_cutin
 def small_scenarios():
     return [replace(highway_cruise(), duration=16.0),
             replace(lead_vehicle_cutin(), duration=14.0)]
+
+
+def run_pipelined(campaign, jobs, **driver_kwargs):
+    """Drive an explicit job list through the campaign pipeline."""
+    plan = StagePlan(style="jobs", global_jobs=lambda ctx: list(jobs))
+    return CampaignPipeline(campaign, **driver_kwargs).run(plan).summary
 
 
 def strip_wall(records):
@@ -67,14 +75,11 @@ class TestPoolContext:
         assert _pool_context("no_such_start_method") is None
 
     def test_unknown_method_still_runs_experiments(self, campaign, jobs):
-        reference = run_experiments(campaign.scenarios, campaign.config,
-                                    jobs,
-                                    checkpoints=campaign.checkpoints)
-        fallback = run_experiments(campaign.scenarios, campaign.config,
-                                   jobs, workers=2,
-                                   checkpoints=campaign.checkpoints,
-                                   start_method="no_such_start_method")
-        assert strip_wall(fallback) == strip_wall(reference)
+        reference = oracle.run_jobs(campaign, jobs)
+        fallback = run_pipelined(campaign, jobs, workers=2,
+                                 start_method="no_such_start_method")
+        assert strip_wall(fallback.records) == \
+            strip_wall(reference.records)
 
 
 class TestPicklability:
@@ -95,12 +100,13 @@ class TestPicklability:
         tick = campaign.injection_ticks(scenarios[0])[1]
         closure_jobs = [("closure_cruise",
                          FaultSpec("brake", 0.0, tick, 4))]
-        reference = run_experiments(scenarios, campaign.config,
-                                    closure_jobs)
-        spawned = run_experiments(scenarios, campaign.config,
-                                  closure_jobs, workers=2,
-                                  start_method="spawn")
-        assert strip_wall(spawned) == strip_wall(reference)
+        reference = oracle.run_jobs(campaign, closure_jobs)
+        with pytest.warns(RuntimeWarning, match="scenarios"):
+            spawned = run_pipelined(Campaign(scenarios, CampaignConfig()),
+                                    closure_jobs, workers=2,
+                                    start_method="spawn")
+        assert strip_wall(spawned.records) == \
+            strip_wall(reference.records)
 
     def test_spawn_golden_collection_with_closures_falls_back(self):
         from repro.sim.world import World
@@ -112,8 +118,9 @@ class TestPicklability:
                               duration=12.0)]
         config = CampaignConfig()
         serial = collect_golden_runs(scenarios, config)
-        spawned = collect_golden_runs(scenarios, config, workers=2,
-                                      start_method="spawn")
+        with pytest.warns(RuntimeWarning, match="scenarios"):
+            spawned = collect_golden_runs(scenarios, config, workers=2,
+                                          start_method="spawn")
         assert list(spawned) == list(serial)
         for name, run in spawned.items():
             assert run.min_delta_long == serial[name].min_delta_long
@@ -125,25 +132,18 @@ class TestSingleWorkerPools:
 
     @pytest.mark.parametrize("workers", [0, 1])
     def test_run_experiments_degenerate(self, campaign, jobs, workers):
-        reference = run_experiments(campaign.scenarios, campaign.config,
-                                    jobs,
-                                    checkpoints=campaign.checkpoints)
-        degenerate = run_experiments(campaign.scenarios, campaign.config,
-                                     jobs, workers=workers,
-                                     checkpoints=campaign.checkpoints)
-        assert strip_wall(degenerate) == strip_wall(reference)
+        reference = oracle.run_jobs(campaign, jobs)
+        degenerate = run_pipelined(campaign, jobs, workers=workers)
+        assert strip_wall(degenerate.records) == \
+            strip_wall(reference.records)
 
     def test_run_experiments_streaming_degenerate(self, campaign, jobs):
-        reference = run_experiments(campaign.scenarios, campaign.config,
-                                    jobs,
-                                    checkpoints=campaign.checkpoints)
-        streamed = []
-        returned = run_experiments(campaign.scenarios, campaign.config,
-                                   jobs, workers=1,
-                                   checkpoints=campaign.checkpoints,
-                                   on_record=streamed.append)
-        assert returned is None
-        assert strip_wall(streamed) == strip_wall(reference)
+        reference = oracle.run_jobs(campaign, jobs)
+        sink = ListSink()
+        returned = run_pipelined(campaign, jobs, workers=1,
+                                 record_sink=sink)
+        assert returned.records == []        # not retained with a sink
+        assert strip_wall(sink.records) == strip_wall(reference.records)
 
     def test_collect_golden_runs_single_worker(self, campaign):
         serial = campaign.golden_runs()
@@ -165,7 +165,7 @@ class TestSingleWorkerPools:
             reference.min_delta_long
 
     def test_pipeline_campaign_single_worker(self, campaign):
-        reference = campaign.random_campaign(5, seed=9, pipeline=False)
+        reference = oracle.random_campaign(campaign, 5, seed=9)
         single = Campaign(small_scenarios(),
                           CampaignConfig()).random_campaign(
             5, seed=9, workers=1)

@@ -1,11 +1,11 @@
-"""The streaming pipeline must equal the barrier oracle, shard by shard.
+"""The streaming pipeline must equal the straight-loop oracle, shard by shard.
 
 Two guarantees ride the :mod:`repro.core.pipeline` driver:
 
-* **Pipeline equivalence** — every campaign style run with
-  ``pipeline=True`` (the default) emits a record stream bit-for-bit
-  identical to the barrier path (``pipeline=False``), order included,
-  serial and pooled.
+* **Pipeline equivalence** — every campaign style emits a record
+  stream bit-for-bit identical to :mod:`oracle` (every job run
+  serially through ``Campaign.run_fault``), order included, serial,
+  pooled and spawned.
 * **Shard equivalence** — a campaign split across shards produces
   disjoint record streams whose merge (``CampaignSummary.merge`` /
   ``persistence.merge_record_shards``) equals the unsharded run.
@@ -15,6 +15,7 @@ import gzip
 import math
 from dataclasses import asdict, replace
 
+import oracle
 import pytest
 
 from repro.core import (Campaign, CampaignConfig, CampaignPipeline,
@@ -47,8 +48,8 @@ def candidate_keys(candidates):
 
 
 @pytest.fixture(scope="module")
-def oracle():
-    """The barrier reference path (pipeline=False), goldens collected."""
+def reference_campaign():
+    """The campaign the straight-loop oracle runs on, goldens collected."""
     campaign = Campaign(small_scenarios(), CampaignConfig())
     campaign.golden_runs()
     return campaign
@@ -61,31 +62,32 @@ def piped():
 
 
 class TestPipelineEquivalence:
-    """pipeline=True == pipeline=False, record for record, in order."""
+    """The pipeline == the straight-loop oracle, record for record."""
 
     @pytest.mark.parametrize("workers", [None, 2])
-    def test_random_campaign(self, oracle, piped, workers):
-        reference = oracle.random_campaign(8, seed=11, pipeline=False)
+    def test_random_campaign(self, reference_campaign, piped, workers):
+        reference = oracle.random_campaign(reference_campaign, 8, seed=11)
         streamed = piped.random_campaign(8, seed=11, workers=workers)
         assert strip_wall(streamed.records) == strip_wall(reference.records)
         assert streamed.same_aggregates(reference)
 
     @pytest.mark.parametrize("workers", [None, 2])
-    def test_exhaustive_campaign_streams_per_scenario(self, oracle, piped,
-                                                      workers):
+    def test_exhaustive_campaign_streams_per_scenario(
+            self, reference_campaign, piped, workers):
         reference = oracle.exhaustive_campaign(
-            tick_stride=40, variable_names=["brake", "steering"],
-            pipeline=False)
+            reference_campaign, tick_stride=40,
+            variable_names=["brake", "steering"])
         streamed = piped.exhaustive_campaign(
             tick_stride=40, variable_names=["brake", "steering"],
             workers=workers)
         assert strip_wall(streamed.records) == strip_wall(reference.records)
 
     @pytest.mark.parametrize("workers", [None, 2])
-    def test_exhaustive_campaign_with_cap(self, oracle, piped, workers):
+    def test_exhaustive_campaign_with_cap(self, reference_campaign, piped,
+                                          workers):
         reference = oracle.exhaustive_campaign(
-            tick_stride=40, variable_names=["brake"], max_experiments=7,
-            pipeline=False)
+            reference_campaign, tick_stride=40, variable_names=["brake"],
+            max_experiments=7)
         streamed = piped.exhaustive_campaign(
             tick_stride=40, variable_names=["brake"], max_experiments=7,
             workers=workers)
@@ -93,23 +95,26 @@ class TestPipelineEquivalence:
         assert strip_wall(streamed.records) == strip_wall(reference.records)
 
     @pytest.mark.parametrize("workers", [None, 2])
-    def test_architectural_campaign(self, oracle, piped, workers):
+    def test_architectural_campaign(self, reference_campaign, piped,
+                                    workers):
         reference, ref_outcomes = oracle.architectural_campaign(
-            25, seed=3, pipeline=False)
+            reference_campaign, 25, seed=3)
         streamed, outcomes = piped.architectural_campaign(
             25, seed=3, workers=workers)
         assert outcomes == ref_outcomes
         assert strip_wall(streamed.records) == strip_wall(reference.records)
 
     @pytest.mark.parametrize("workers", [None, 2])
-    def test_bayesian_campaign_top_k(self, oracle, piped, workers):
-        reference = oracle.bayesian_campaign(top_k=6, pipeline=False)
+    def test_bayesian_campaign_top_k(self, reference_campaign, piped,
+                                     workers):
+        reference = oracle.bayesian_campaign(reference_campaign, top_k=6)
         streamed = piped.bayesian_campaign(top_k=6, workers=workers)
         assert candidate_keys(streamed.candidates) == \
             candidate_keys(reference.candidates)
         for mined, ref in zip(streamed.candidates, reference.candidates):
-            # Per-scenario mining scores in smaller batches, so the
-            # predictions agree to the suite's batched-vs-scalar bound.
+            # Per-scenario mining scores in smaller batches (and the
+            # oracle trains on the whole set at once), so predictions
+            # agree to the suite's batched-vs-scalar bound.
             assert mined.predicted_delta_long == pytest.approx(
                 ref.predicted_delta_long, abs=1e-9)
             assert mined.predicted_delta_lat == pytest.approx(
@@ -121,10 +126,10 @@ class TestPipelineEquivalence:
         assert streamed.precision == reference.precision
 
     @pytest.mark.parametrize("workers", [None, 2])
-    def test_bayesian_campaign_eager_dispatch(self, oracle, piped,
-                                              workers):
+    def test_bayesian_campaign_eager_dispatch(self, reference_campaign,
+                                              piped, workers):
         """Without top_k, validation overlaps mining — results unchanged."""
-        reference = oracle.bayesian_campaign(pipeline=False)
+        reference = oracle.bayesian_campaign(reference_campaign)
         streamed = piped.bayesian_campaign(workers=workers)
         assert candidate_keys(streamed.candidates) == \
             candidate_keys(reference.candidates)
@@ -134,8 +139,9 @@ class TestPipelineEquivalence:
     def test_bayesian_scalar_miner(self):
         """The scalar reference miner rides the pipeline unchanged."""
         scenarios = [replace(lead_vehicle_cutin(), duration=14.0)]
-        reference = Campaign(scenarios, CampaignConfig()).bayesian_campaign(
-            top_k=3, use_batched=False, pipeline=False)
+        reference = oracle.bayesian_campaign(
+            Campaign(scenarios, CampaignConfig()), top_k=3,
+            use_batched=False)
         streamed = Campaign(scenarios, CampaignConfig()).bayesian_campaign(
             top_k=3, use_batched=False)
         assert candidate_keys(streamed.candidates) == \
@@ -143,9 +149,9 @@ class TestPipelineEquivalence:
         assert strip_wall(streamed.summary.records) == \
             strip_wall(reference.summary.records)
 
-    def test_spawn_pool_matches_serial(self, oracle, piped):
+    def test_spawn_pool_matches_serial(self, reference_campaign, piped):
         """The pipeline's no-fork path: state ships by pickle + spool."""
-        reference = oracle.random_campaign(6, seed=5, pipeline=False)
+        reference = oracle.random_campaign(reference_campaign, 6, seed=5)
         outcome = CampaignPipeline(
             piped, workers=2, start_method="spawn").run(
             piped._random_plan(6, 5))
@@ -154,8 +160,10 @@ class TestPipelineEquivalence:
 
 
 class TestPipelineStreaming:
-    def test_sink_receives_records_in_oracle_order(self, oracle, piped):
-        reference = oracle.random_campaign(8, seed=11, pipeline=False)
+    def test_sink_receives_records_in_oracle_order(self,
+                                                   reference_campaign,
+                                                   piped):
+        reference = oracle.random_campaign(reference_campaign, 8, seed=11)
         sink = ListSink()
         streamed = piped.random_campaign(8, seed=11, workers=2,
                                          record_sink=sink)
@@ -163,9 +171,9 @@ class TestPipelineStreaming:
         assert streamed.records == []          # not retained with a sink
         assert streamed.same_aggregates(reference)
 
-    def test_gzip_record_stream_round_trips(self, tmp_path, oracle,
-                                            piped):
-        reference = oracle.random_campaign(6, seed=7, pipeline=False)
+    def test_gzip_record_stream_round_trips(self, tmp_path,
+                                            reference_campaign, piped):
+        reference = oracle.random_campaign(reference_campaign, 6, seed=7)
         path = tmp_path / "records.jsonl.gz"
         with JsonlRecordSink(path) as sink:
             piped.random_campaign(6, seed=7, record_sink=sink)
@@ -220,12 +228,6 @@ class TestPipelineStreaming:
         assert {e.scenario for e in mined} == \
             {s.name for s in piped.scenarios}
 
-    def test_progress_events_barrier_path(self, oracle):
-        events = []
-        oracle.random_campaign(3, seed=2, pipeline=False,
-                               on_progress=events.append)
-        assert {"golden", "validated"} <= {e.stage for e in events}
-
 
 def shard_config(index, count):
     return CampaignConfig(shard_index=index, shard_count=count)
@@ -249,16 +251,11 @@ class TestSharding:
         assert [s.name for s in owned[0]] == \
             [scenarios[0].name, scenarios[2].name]
 
-    def test_barrier_path_rejects_sharding(self):
-        campaign = Campaign(small_scenarios(), shard_config(0, 2))
-        with pytest.raises(ValueError, match="pipeline"):
-            campaign.random_campaign(4, pipeline=False)
-
-    def test_schedule_ticks_match_golden_ticks(self, oracle):
+    def test_schedule_ticks_match_golden_ticks(self, reference_campaign):
         """The sharded draw's premise, asserted for every library run."""
-        for scenario in oracle.scenarios:
-            assert oracle.schedule_injection_ticks(scenario) == \
-                oracle.injection_ticks(scenario)
+        for scenario in reference_campaign.scenarios:
+            assert reference_campaign.schedule_injection_ticks(scenario) \
+                == reference_campaign.injection_ticks(scenario)
 
     def _run_shards(self, tmp_path, count, run):
         paths = []
@@ -272,8 +269,9 @@ class TestSharding:
             paths.append(path)
         return paths
 
-    def test_two_shard_random_merges_to_unsharded(self, tmp_path, oracle):
-        reference = oracle.random_campaign(10, seed=2, pipeline=False)
+    def test_two_shard_random_merges_to_unsharded(self, tmp_path,
+                                                  reference_campaign):
+        reference = oracle.random_campaign(reference_campaign, 10, seed=2)
         paths = self._run_shards(
             tmp_path, 2,
             lambda c, sink: c.random_campaign(10, seed=2,
@@ -286,9 +284,9 @@ class TestSharding:
             sorted(map(repr, strip_wall(reference.records)))
 
     def test_two_shard_exhaustive_merges_to_unsharded(self, tmp_path,
-                                                      oracle):
+                                                      reference_campaign):
         reference = oracle.exhaustive_campaign(
-            tick_stride=40, variable_names=["brake"], pipeline=False)
+            reference_campaign, tick_stride=40, variable_names=["brake"])
         paths = self._run_shards(
             tmp_path, 2,
             lambda c, sink: c.exhaustive_campaign(
@@ -298,9 +296,9 @@ class TestSharding:
         assert merged.same_aggregates(reference)
 
     def test_two_shard_architectural_counts_are_global(self, tmp_path,
-                                                       oracle):
+                                                       reference_campaign):
         reference, ref_outcomes = oracle.architectural_campaign(
-            25, seed=3, pipeline=False)
+            reference_campaign, 25, seed=3)
         outcome_sets = []
 
         def run(campaign, sink):
@@ -314,8 +312,8 @@ class TestSharding:
         assert merged.same_aggregates(reference)
 
     def test_two_shard_bayesian_merges_to_unsharded(self, tmp_path,
-                                                    oracle):
-        reference = oracle.bayesian_campaign(top_k=8, pipeline=False)
+                                                    reference_campaign):
+        reference = oracle.bayesian_campaign(reference_campaign, top_k=8)
         candidate_sets = []
 
         def run(campaign, sink):
@@ -361,19 +359,19 @@ class TestCandidateCacheResilience:
     re-mining.
     """
 
-    @pytest.mark.parametrize("pipeline", [True, False])
-    def test_corrupt_cache_re_mines(self, tmp_path, pipeline):
+    @pytest.mark.parametrize("use_batched", [True, False])
+    def test_corrupt_cache_re_mines(self, tmp_path, use_batched):
+        """Both miners (batched and scalar reference) heal the cache."""
         scenarios = [replace(lead_vehicle_cutin(), duration=14.0)]
-        cold = Campaign(scenarios, CampaignConfig(),
-                        cache_dir=tmp_path / str(pipeline))
-        cold_result = cold.bayesian_campaign(top_k=3, pipeline=pipeline)
-        cache_files = list((tmp_path / str(pipeline))
-                           .glob("candidates-*.json"))
+        cold = Campaign(scenarios, CampaignConfig(), cache_dir=tmp_path)
+        cold_result = cold.bayesian_campaign(top_k=3,
+                                             use_batched=use_batched)
+        cache_files = list(tmp_path.glob("candidates-*.json"))
         assert len(cache_files) == 1
         cache_files[0].write_text("{ torn write")
-        warm = Campaign(scenarios, CampaignConfig(),
-                        cache_dir=tmp_path / str(pipeline))
-        warm_result = warm.bayesian_campaign(top_k=3, pipeline=pipeline)
+        warm = Campaign(scenarios, CampaignConfig(), cache_dir=tmp_path)
+        warm_result = warm.bayesian_campaign(top_k=3,
+                                             use_batched=use_batched)
         assert candidate_keys(warm_result.candidates) == \
             candidate_keys(cold_result.candidates)
         # ...and re-mining healed the cache file.

@@ -14,13 +14,12 @@ import signal
 import time
 from dataclasses import asdict, replace
 
+import oracle
 import pytest
 
 from repro.core import (Campaign, CampaignConfig, CampaignSummary,
-                        FaultSpec, Hazard, ResilienceConfig,
-                        run_experiments)
+                        FaultSpec, Hazard, ResilienceConfig, StagePlan)
 from repro.core.checkpoint import CheckpointStore
-from repro.core.parallel import collect_golden_runs
 from repro.core.persistence import (JsonlRecordSink, iter_records_jsonl,
                                     merge_record_shards, record_from_dict,
                                     record_to_dict)
@@ -521,20 +520,6 @@ class TestJournalIntegration:
         assert campaign._last_journal is None
         assert not list(tmp_path.glob("journal-*"))
 
-    def test_barrier_driver_journals_identically(self, tmp_path):
-        first = Campaign(small_scenarios(), CampaignConfig(),
-                         cache_dir=tmp_path)
-        reference = first.random_campaign(6, seed=11, pipeline=False)
-        assert first._last_journal.appended == 6
-        resumed = Campaign(
-            small_scenarios(),
-            CampaignConfig(resilience=ResilienceConfig(resume=True)),
-            cache_dir=tmp_path)
-        again = resumed.random_campaign(6, seed=11, pipeline=False)
-        assert resumed._last_journal.hits == 6
-        assert [asdict(r) for r in again.records] == \
-            [asdict(r) for r in reference.records]
-
 
 class _InterruptAfter:
     """Progress hook raising KeyboardInterrupt after N validations."""
@@ -555,25 +540,25 @@ class TestKeyboardInterrupt:
     """S2: ^C mid-pooled-campaign leaves a consistent journal behind."""
 
     @pytest.mark.skipif(not HAS_FORK, reason="fork start method required")
-    @pytest.mark.parametrize("pipeline", [True, False],
-                             ids=["pipeline", "barrier"])
+    @pytest.mark.parametrize("batch_sim", [0, 4],
+                             ids=["pipeline", "batched"])
     def test_interrupt_keeps_prefix_and_resume_completes(self, tmp_path,
-                                                         pipeline):
-        oracle = Campaign(small_scenarios(), CampaignConfig())
-        reference = oracle.random_campaign(8, seed=11, pipeline=pipeline)
+                                                         batch_sim):
+        reference = oracle.random_campaign(
+            Campaign(small_scenarios(), CampaignConfig()), 8, seed=11)
 
         interrupted = Campaign(small_scenarios(), CampaignConfig(),
                                cache_dir=tmp_path)
         with pytest.raises(KeyboardInterrupt):
             interrupted.random_campaign(
-                8, seed=11, workers=2, pipeline=pipeline,
+                8, seed=11, workers=2, batch_sim=batch_sim,
                 on_progress=_InterruptAfter(3))
 
         resumed = Campaign(
             small_scenarios(),
             CampaignConfig(resilience=ResilienceConfig(resume=True)),
             cache_dir=tmp_path)
-        summary = resumed.random_campaign(8, seed=11, pipeline=pipeline)
+        summary = resumed.random_campaign(8, seed=11, batch_sim=batch_sim)
         journal = resumed._last_journal
         assert journal.hits >= 3                  # the flushed prefix
         assert journal.hits + journal.appended == 8
@@ -593,27 +578,14 @@ class TestSpawnFallbackWarning:
                          lambda: World.on_highway(ego_speed=31.0),
                          duration=14.0)]
 
-    def test_barrier_driver_warns_naming_scenarios(self):
-        scenarios = self.closure_scenarios()
-        config = CampaignConfig()
-        with pytest.warns(RuntimeWarning, match="scenarios"):
-            collect_golden_runs(scenarios, config, workers=2,
-                                start_method="spawn")
-        campaign = Campaign(scenarios, config)
-        tick = campaign.injection_ticks(scenarios[0])[1]
-        jobs = [("closure_cruise", FaultSpec("brake", 0.0, tick, 4))]
-        with pytest.warns(RuntimeWarning, match="scenarios"):
-            run_experiments(scenarios, config, jobs, workers=2,
-                            start_method="spawn")
-
     def test_pipeline_driver_warns_naming_scenarios(self):
         campaign = Campaign(self.closure_scenarios(), CampaignConfig())
         with pytest.warns(RuntimeWarning, match="scenarios"):
             outcome = CampaignPipeline(
                 campaign, workers=2, start_method="spawn").run(
                 campaign._random_plan(4, 5))
-        reference = Campaign(self.closure_scenarios(), CampaignConfig()) \
-            .random_campaign(4, seed=5, pipeline=False)
+        reference = oracle.random_campaign(
+            Campaign(self.closure_scenarios(), CampaignConfig()), 4, seed=5)
         assert strip_wall(outcome.summary.records) == \
             strip_wall(reference.records)
 
@@ -652,15 +624,20 @@ class TestSerialQuarantine:
     raises in strict mode) — identically in serial and pooled runs."""
 
     def _flaky_execute(self, monkeypatch, bad_tick):
-        import repro.core.parallel as parallel_mod
-        real = parallel_mod.execute_experiment
+        import repro.core.pipeline as pipeline_mod
+        real = pipeline_mod.execute_experiment
 
         def flaky(scenario, config, fault, checkpoints=None):
             if fault.start_tick == bad_tick:
                 raise RuntimeError("sim exploded")
             return real(scenario, config, fault, checkpoints)
 
-        monkeypatch.setattr(parallel_mod, "execute_experiment", flaky)
+        monkeypatch.setattr(pipeline_mod, "execute_experiment", flaky)
+
+    @staticmethod
+    def _run(campaign, jobs):
+        plan = StagePlan(style="jobs", global_jobs=lambda ctx: list(jobs))
+        return CampaignPipeline(campaign).run(plan).summary.records
 
     def test_failure_occupies_its_slot(self, monkeypatch):
         scenarios = small_scenarios()
@@ -671,10 +648,10 @@ class TestSerialQuarantine:
         jobs = [(scenarios[0].name, FaultSpec("brake", 0.0, ticks[1], 4)),
                 (scenarios[0].name, FaultSpec("brake", 0.0, ticks[2], 4)),
                 (scenarios[0].name, FaultSpec("brake", 0.0, ticks[3], 4))]
-        reference = run_experiments(scenarios, config, jobs)
+        reference = oracle.run_jobs(campaign, jobs).records
 
         self._flaky_execute(monkeypatch, ticks[2])
-        records = run_experiments(scenarios, config, jobs)
+        records = self._run(Campaign(scenarios, config), jobs)
         assert [r.failed for r in records] == [False, True, False]
         failed = records[1]
         assert failed.error == "RuntimeError: sim exploded"
@@ -689,6 +666,5 @@ class TestSerialQuarantine:
         tick = campaign.injection_ticks(scenarios[0])[1]
         self._flaky_execute(monkeypatch, tick)
         with pytest.raises(RuntimeError, match="sim exploded"):
-            run_experiments(scenarios, config,
-                            [(scenarios[0].name,
-                              FaultSpec("brake", 0.0, tick, 4))])
+            self._run(campaign, [(scenarios[0].name,
+                                  FaultSpec("brake", 0.0, tick, 4))])

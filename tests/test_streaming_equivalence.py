@@ -15,12 +15,13 @@ import math
 import pickle
 from dataclasses import asdict, replace
 
+import oracle
 import pytest
 
-from repro.core import (Campaign, CampaignConfig, CheckpointStore,
-                        ExperimentRecord, FaultSpec, Hazard, ListSink,
-                        run_experiments)
-from repro.core.parallel import collect_golden_runs
+from repro.core import (Campaign, CampaignConfig, CampaignPipeline,
+                        CheckpointStore, ExperimentRecord, FaultSpec, Hazard,
+                        ListSink, StagePlan)
+from repro.core.parallel import collect_golden_runs, execute_experiment
 from repro.core.persistence import (JsonlRecordSink, iter_records_jsonl,
                                     load_summary_jsonl, record_from_dict,
                                     record_to_dict)
@@ -291,14 +292,12 @@ class TestCheckpointStoreDisk:
         scenarios = small_scenarios()
         scenario = scenarios[0]
         tick = serial_campaign.injection_ticks(scenario)[3]
-        jobs = [(scenario.name, FaultSpec("throttle", 1.0, tick, 4))]
-        reference = run_experiments(
-            scenarios, serial_campaign.config, jobs,
-            checkpoints=serial_campaign.checkpoints)
-        via_path = run_experiments(
-            scenarios, serial_campaign.config, jobs,
-            checkpoints=directory)
-        assert strip_wall(via_path) == strip_wall(reference)
+        fault = FaultSpec("throttle", 1.0, tick, 4)
+        reference = execute_experiment(scenario, serial_campaign.config,
+                                       fault, serial_campaign.checkpoints)
+        via_path = execute_experiment(scenario, serial_campaign.config,
+                                      fault, CheckpointStore.load(directory))
+        assert strip_wall([via_path]) == strip_wall([reference])
 
 
 class TestWarmStartCheckpoints:
@@ -387,13 +386,12 @@ class TestSpawnStartMethod:
         ticks = serial_campaign.injection_ticks(scenario)
         jobs = [(scenario.name, FaultSpec("brake", 0.0, ticks[2], 4)),
                 (scenario.name, FaultSpec("throttle", 1.0, ticks[-1], 4))]
-        reference = run_experiments(
-            scenarios, serial_campaign.config, jobs,
-            checkpoints=serial_campaign.checkpoints)
-        spawned = run_experiments(
-            scenarios, serial_campaign.config, jobs, workers=2,
-            checkpoints=serial_campaign.checkpoints, start_method="spawn")
-        assert strip_wall(spawned) == strip_wall(reference)
+        reference = oracle.run_jobs(serial_campaign, jobs)
+        plan = StagePlan(style="jobs", global_jobs=lambda ctx: jobs)
+        spawned = CampaignPipeline(
+            Campaign(scenarios, serial_campaign.config), workers=2,
+            start_method="spawn").run(plan).summary
+        assert strip_wall(spawned.records) == strip_wall(reference.records)
 
     def test_spawn_golden_collection_matches_serial(self, serial_campaign):
         scenarios = small_scenarios()[:2]

@@ -18,6 +18,7 @@ Two layers of equivalence ride the streaming training stack:
 from dataclasses import asdict, replace
 
 import numpy as np
+import oracle
 import pytest
 
 from repro.bayesnet import (DAG, LinearGaussianNetworkSuffStats,
@@ -268,7 +269,8 @@ class TestInjectorTrainerEquivalence:
 
 @pytest.fixture(scope="module")
 def batch_oracle():
-    """Barrier path, batch training, in-RAM traces: the full oracle."""
+    """The straight-loop oracle's campaign: in-RAM traces, goldens in
+    (:mod:`oracle` trains on the whole golden set at once)."""
     campaign = Campaign(small_scenarios(), CampaignConfig())
     campaign.golden_runs()
     return campaign
@@ -280,22 +282,10 @@ class TestStreamingCampaignEquivalence:
     @pytest.mark.parametrize("workers", [None, 2])
     def test_bayesian_streaming_vs_batch_records(self, batch_oracle,
                                                  workers):
-        reference = batch_oracle.bayesian_campaign(
-            top_k=6, pipeline=False, streaming_training=False)
+        reference = oracle.bayesian_campaign(batch_oracle, top_k=6)
         streamed = Campaign(small_scenarios(),
                             CampaignConfig()).bayesian_campaign(
             top_k=6, workers=workers)
-        assert candidate_keys(streamed.candidates) == \
-            candidate_keys(reference.candidates)
-        assert strip_wall(streamed.summary.records) == \
-            strip_wall(reference.summary.records)
-
-    def test_barrier_streaming_matches_barrier_batch(self, batch_oracle):
-        """The pipeline=False path honours the flag the same way."""
-        reference = batch_oracle.bayesian_campaign(
-            top_k=6, pipeline=False, streaming_training=False)
-        streamed = batch_oracle.bayesian_campaign(
-            top_k=6, pipeline=False, streaming_training=True)
         assert candidate_keys(streamed.candidates) == \
             candidate_keys(reference.candidates)
         assert strip_wall(streamed.summary.records) == \
@@ -333,17 +323,16 @@ class TestTraceStoreCampaignEquivalence:
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_random(self, batch_oracle, store_campaign, workers):
-        reference = batch_oracle.random_campaign(8, seed=11,
-                                                 pipeline=False)
+        reference = oracle.random_campaign(batch_oracle, 8, seed=11)
         streamed = store_campaign.random_campaign(8, seed=11,
                                                   workers=workers)
         assert strip_wall(streamed.records) == strip_wall(reference.records)
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_exhaustive(self, batch_oracle, store_campaign, workers):
-        reference = batch_oracle.exhaustive_campaign(
-            tick_stride=40, variable_names=["brake", "steering"],
-            pipeline=False)
+        reference = oracle.exhaustive_campaign(
+            batch_oracle, tick_stride=40,
+            variable_names=["brake", "steering"])
         streamed = store_campaign.exhaustive_campaign(
             tick_stride=40, variable_names=["brake", "steering"],
             workers=workers)
@@ -351,8 +340,8 @@ class TestTraceStoreCampaignEquivalence:
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_architectural(self, batch_oracle, store_campaign, workers):
-        reference, ref_outcomes = batch_oracle.architectural_campaign(
-            25, seed=3, pipeline=False)
+        reference, ref_outcomes = oracle.architectural_campaign(
+            batch_oracle, 25, seed=3)
         streamed, outcomes = store_campaign.architectural_campaign(
             25, seed=3, workers=workers)
         assert outcomes == ref_outcomes
@@ -360,8 +349,7 @@ class TestTraceStoreCampaignEquivalence:
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_bayesian(self, batch_oracle, store_campaign, workers):
-        reference = batch_oracle.bayesian_campaign(
-            top_k=6, pipeline=False, streaming_training=False)
+        reference = oracle.bayesian_campaign(batch_oracle, top_k=6)
         streamed = store_campaign.bayesian_campaign(top_k=6,
                                                     workers=workers)
         assert candidate_keys(streamed.candidates) == \
@@ -379,11 +367,12 @@ class TestTraceStoreCampaignEquivalence:
         assert all(store.has(name) for name in golden)
 
     def test_barrier_path_spools_too(self, batch_oracle):
+        """The oracle's barrier-style path — ``golden_runs()`` first,
+        then every job through ``run_fault`` — spools goldens too."""
         campaign = Campaign(small_scenarios(), CampaignConfig(),
                             trace_store=True)
-        reference = batch_oracle.random_campaign(6, seed=5,
-                                                 pipeline=False)
-        streamed = campaign.random_campaign(6, seed=5, pipeline=False)
+        reference = oracle.random_campaign(batch_oracle, 6, seed=5)
+        streamed = oracle.random_campaign(campaign, 6, seed=5)
         assert strip_wall(streamed.records) == strip_wall(reference.records)
         assert all(isinstance(run.trace, StoredTrace)
                    for run in campaign.golden_runs().values())
